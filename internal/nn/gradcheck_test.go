@@ -46,14 +46,24 @@ func checkModelGradients(t *testing.T, m *Model, x *tensor.Tensor, labels []int,
 }
 
 func TestLinearGradients(t *testing.T) {
-	rng := tensor.NewRNG(1)
-	m := &Model{
-		Net:  NewSequential(NewLinear("fc", 6, 4, rng)),
-		Loss: NewSoftmaxCrossEntropy(),
+	// Batch 3 runs only the per-row remainder loops; batch 6 with an odd
+	// output count runs the 4-row block and both remainders together.
+	for _, tc := range []struct {
+		n, out int
+		labels []int
+	}{
+		{3, 4, []int{0, 2, 3}},
+		{6, 5, []int{0, 2, 4, 1, 3, 4}},
+	} {
+		rng := tensor.NewRNG(1)
+		m := &Model{
+			Net:  NewSequential(NewLinear("fc", 6, tc.out, rng)),
+			Loss: NewSoftmaxCrossEntropy(),
+		}
+		x := tensor.New(tc.n, 6)
+		tensor.FillNormal(x, 1, rng)
+		checkModelGradients(t, m, x, tc.labels, 2e-2)
 	}
-	x := tensor.New(3, 6)
-	tensor.FillNormal(x, 1, rng)
-	checkModelGradients(t, m, x, []int{0, 2, 3}, 2e-2)
 }
 
 func TestMLPGradients(t *testing.T) {

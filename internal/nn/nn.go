@@ -18,6 +18,19 @@
 //     one-compression-context-per-layer-tensor model (§3).
 //   - Batch-norm parameters are flagged NoCompress, reproducing §5.1's
 //     exemption of small layers from compression.
+//   - Layer kernels fix the float32 operation sequence of every element
+//     they produce: each product and each sum is rounded on its own (no
+//     math.FMA; Go does not fuse float32 multiply-adds on amd64), and
+//     sums run in a fixed order. Linear.Forward sums x[n,i]*W[o,i] in
+//     ascending i from +0 and adds b[o] last; Linear.Backward skips a zero
+//     upstream gradient (rather than adding 0*x, which differs for -0, Inf
+//     and NaN), adds into W's G[o,i] and b's G[o] in ascending batch row,
+//     and into dx[n,i] in ascending output. A faster loop nest must keep
+//     each element's sequence, as the blocked Linear kernels do against
+//     the reference loops in their tests: the parameter server's
+//     bit-identity oracle (every distributed run against one in-process
+//     server) and perfbench's trial-to-trial weight check both assume
+//     that the same seed and batches give the same bits.
 package nn
 
 import (
@@ -35,7 +48,9 @@ type Param struct {
 	// W holds the parameter values.
 	W *tensor.Tensor
 	// G accumulates the gradient of the loss w.r.t. W for the current
-	// batch. Layers add into G; the optimizer zeroes it.
+	// batch. Layers add into G, and Model.TrainStep zeroes it first (via
+	// ZeroGrad). Optimizers read it but never clear it; the parameter
+	// server's fused opt.SGD sweep neither reads nor writes it.
 	G *tensor.Tensor
 	// NoCompress marks small tensors (batch norm scales/offsets) that the
 	// training pipeline transmits uncompressed, per §5.1.
