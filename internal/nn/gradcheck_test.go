@@ -75,32 +75,45 @@ func TestMLPGradients(t *testing.T) {
 }
 
 func TestConvGradients(t *testing.T) {
-	rng := tensor.NewRNG(4)
-	m := &Model{
-		Net: NewSequential(
-			NewConv2D("conv", 2, 3, 3, 1, 1, rng),
-			NewGlobalAvgPool(),
-		),
-		Loss: NewSoftmaxCrossEntropy(),
+	// 2->3 channels fits inside one partial channel block; 5->5 runs a full
+	// 4-wide block plus a remainder channel in every pass.
+	for _, tc := range []struct{ inC, outC int }{{2, 3}, {5, 5}} {
+		rng := tensor.NewRNG(4)
+		m := &Model{
+			Net: NewSequential(
+				NewConv2D("conv", tc.inC, tc.outC, 3, 1, 1, rng),
+				NewGlobalAvgPool(),
+			),
+			Loss: NewSoftmaxCrossEntropy(),
+		}
+		x := tensor.New(2, tc.inC, 5, 5)
+		tensor.FillNormal(x, 1, rng)
+		checkModelGradients(t, m, x, []int{0, 2}, 2e-2)
 	}
-	x := tensor.New(2, 2, 5, 5)
-	tensor.FillNormal(x, 1, rng)
-	checkModelGradients(t, m, x, []int{0, 2}, 2e-2)
 }
 
 func TestConvStrideGradients(t *testing.T) {
-	rng := tensor.NewRNG(5)
-	m := &Model{
-		Net: NewSequential(
-			NewConv2D("conv", 1, 2, 3, 2, 1, rng),
-			NewFlatten(),
-			NewLinear("head", 2*3*3, 2, rng),
-		),
-		Loss: NewSoftmaxCrossEntropy(),
+	for _, tc := range []struct {
+		inC, outC, k, pad, size int
+	}{
+		{1, 2, 3, 1, 6},
+		{4, 8, 1, 0, 6}, // a ResNet projection shortcut: 1x1, stride 2, no padding
+	} {
+		rng := tensor.NewRNG(5)
+		conv := NewConv2D("conv", tc.inC, tc.outC, tc.k, 2, tc.pad, rng)
+		o := conv.outDim(tc.size)
+		m := &Model{
+			Net: NewSequential(
+				conv,
+				NewFlatten(),
+				NewLinear("head", tc.outC*o*o, 2, rng),
+			),
+			Loss: NewSoftmaxCrossEntropy(),
+		}
+		x := tensor.New(2, tc.inC, tc.size, tc.size)
+		tensor.FillNormal(x, 1, rng)
+		checkModelGradients(t, m, x, []int{0, 1}, 3e-2)
 	}
-	x := tensor.New(2, 1, 6, 6)
-	tensor.FillNormal(x, 1, rng)
-	checkModelGradients(t, m, x, []int{0, 1}, 3e-2)
 }
 
 func TestBatchNorm2DGradients(t *testing.T) {

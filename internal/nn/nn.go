@@ -25,12 +25,22 @@
 //     ascending i from +0 and adds b[o] last; Linear.Backward skips a zero
 //     upstream gradient (rather than adding 0*x, which differs for -0, Inf
 //     and NaN), adds into W's G[o,i] and b's G[o] in ascending batch row,
-//     and into dx[n,i] in ascending output. A faster loop nest must keep
-//     each element's sequence, as the blocked Linear kernels do against
-//     the reference loops in their tests: the parameter server's
-//     bit-identity oracle (every distributed run against one in-process
-//     server) and perfbench's trial-to-trial weight check both assume
-//     that the same seed and batches give the same bits.
+//     and into dx[n,i] in ascending output. Conv2D.Forward starts
+//     y[b,oc,oy,ox] from the bias (bias first, unlike Linear) and adds
+//     x*w over the in-bounds taps in ascending (ic, ky, kx);
+//     Conv2D.Backward skips a zero upstream gradient the same way, adds
+//     into Weight.G[oc,ic,ky,kx] and Bias.G[oc] in ascending (b, oy, ox),
+//     and sums dx[b,ic,iy,ix] from +0 in ascending (oc, oy, ox). A faster
+//     loop nest must keep each element's sequence, as the blocked Linear
+//     and Conv2D kernels do against the reference loops in their tests:
+//     the parameter server's bit-identity oracle (every distributed run
+//     against one in-process server) and perfbench's trial-to-trial
+//     weight check both assume that the same seed and batches give the
+//     same bits. Such a test must keep each accumulator to one NaN
+//     source: where two NaNs with different payloads meet (say an input
+//     NaN and the default NaN of Inf-Inf or 0*Inf), which payload
+//     survives depends on the operand order the compiler picks, not on
+//     the sequence.
 package nn
 
 import (
