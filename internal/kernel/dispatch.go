@@ -22,7 +22,9 @@ import (
 //	        (every unrolled rewrite measured slower), so only asm
 //	        accelerates encode.
 //	asm     vec, plus AVX2 amd64 assembly for the byte-level
-//	        quantize/pack and LUT-row loops. Requires AVX2.
+//	        quantize/pack and LUT-row loops, and for the two nn.Linear
+//	        cores (LinearCores): the 4-row x 8-output forward block and
+//	        the 4-row backward block. Requires AVX2.
 //
 // The tier is chosen once at init — asm when the CPU supports it, else
 // vec — and can be pinned with THREELC_KERNEL=scalar|vec|asm (malformed
@@ -42,7 +44,23 @@ var (
 	litsAddCore  func(tab *scaledTab, body []byte, dst []float32) int
 	litsSetCore  func(tab *scaledTab, body []byte, dst []float32) int
 	packBlocksFn func(buf []float32, out []byte, blocks int, tpos, dqNeg, dqZero, dqPos float32)
+	linFwdCore   LinearForwardCore
+	linBwdCore   LinearBackwardCore
 )
+
+// LinearForwardCore computes a 4-row x 8-output block of nn.Linear's
+// forward pass before the bias; see simd.LinearForward8x4.
+type LinearForwardCore func(acc, xt, w []float32, in int)
+
+// LinearBackwardCore applies one output's nonzero upstream gradients for
+// a 4-row block of nn.Linear's backward pass over the first in&^7 columns
+// and returns how many it did; see simd.LinearBackward4.
+type LinearBackwardCore func(gw, w, x, dx []float32, in int, g0, g1, g2, g3 float32) int
+
+// LinearCores returns the active tier's nn.Linear cores: the AVX2
+// routines on the asm tier, nil below it, where package nn keeps its Go
+// loops. Both tiers give bit-identical results.
+func LinearCores() (LinearForwardCore, LinearBackwardCore) { return linFwdCore, linBwdCore }
 
 // scaledTab is the padded 256-row scaled LUT type shared with package
 // simd; rows above encode.MaxQuartic are never decoded from (literal
@@ -120,6 +138,7 @@ func SetTier(t Tier) {
 		litsAddCore = nil
 		litsSetCore = nil
 		packBlocksFn = nil
+		linFwdCore, linBwdCore = nil, nil
 	case TierVec:
 		accMaxCore = simd.AccMaxAbs
 		maxAbsCore = simd.MaxAbs
@@ -128,6 +147,7 @@ func SetTier(t Tier) {
 		litsAddCore = simd.AddScaledLiterals
 		litsSetCore = simd.SetScaledLiterals
 		packBlocksFn = nil
+		linFwdCore, linBwdCore = nil, nil
 	case TierAsm:
 		if !simd.HasAsm || !simd.Detect().AVX2 {
 			panic("kernel: asm tier unavailable on this CPU/build")
@@ -139,6 +159,7 @@ func SetTier(t Tier) {
 		litsAddCore = simd.AddScaledLiteralsAsm
 		litsSetCore = simd.SetScaledLiteralsAsm
 		packBlocksFn = simd.QuantPackBlocks
+		linFwdCore, linBwdCore = simd.LinearForward8x4, simd.LinearBackward4
 	default:
 		panic(fmt.Sprintf("kernel: unknown tier %v", t))
 	}

@@ -228,3 +228,152 @@ setloop:
 setdone:
 	MOVQ DX, ret+32(FP)
 	RET
+
+// func linearForward8x4(acc *float32, xt *float32, w *float32, in int)
+//
+// nn.Linear forward for a block of 4 batch rows x 8 outputs. xt is the
+// row block transposed to [in][4], so one 16-byte load gives x[r..r+3, i];
+// w points at W[o,0] and its 8 rows sit in back to back. The XMM lanes are
+// the 4 rows: accumulator Xk holds y[r..r+3, o+k]. Each starts at +0 and
+// adds x*W[o+k,i] in ascending i as a separate VMULPS (x as operand 1) and
+// VADDPS (the accumulator as operand 1), the per-element sequence of the
+// Go loops; no FMA. acc receives the 32 sums output-major, acc[4k+j] =
+// y[r+j, o+k] before the bias, which the caller adds.
+TEXT ·linearForward8x4(SB), NOSPLIT, $0-32
+	MOVQ acc+0(FP), DI
+	MOVQ xt+8(FP), SI
+	MOVQ w+16(FP), R8
+	MOVQ in+24(FP), CX
+	MOVQ CX, BX
+	SHLQ $2, BX                // row stride in bytes
+	LEAQ (R8)(BX*1), R9
+	LEAQ (R9)(BX*1), R10
+	LEAQ (R10)(BX*1), R11
+	LEAQ (R11)(BX*1), R12
+	LEAQ (R12)(BX*1), R13
+	LEAQ (R13)(BX*1), DX
+	ADDQ DX, BX                // BX = row 7
+	VXORPS X0, X0, X0
+	VXORPS X1, X1, X1
+	VXORPS X2, X2, X2
+	VXORPS X3, X3, X3
+	VXORPS X4, X4, X4
+	VXORPS X5, X5, X5
+	VXORPS X6, X6, X6
+	VXORPS X7, X7, X7
+	XORQ AX, AX
+
+fwdloop:
+	CMPQ AX, CX
+	JGE fwddone
+	VMOVUPS (SI), X8
+	VBROADCASTSS (R8)(AX*4), X9
+	VMULPS X9, X8, X9
+	VADDPS X9, X0, X0
+	VBROADCASTSS (R9)(AX*4), X10
+	VMULPS X10, X8, X10
+	VADDPS X10, X1, X1
+	VBROADCASTSS (R10)(AX*4), X11
+	VMULPS X11, X8, X11
+	VADDPS X11, X2, X2
+	VBROADCASTSS (R11)(AX*4), X12
+	VMULPS X12, X8, X12
+	VADDPS X12, X3, X3
+	VBROADCASTSS (R12)(AX*4), X9
+	VMULPS X9, X8, X9
+	VADDPS X9, X4, X4
+	VBROADCASTSS (R13)(AX*4), X10
+	VMULPS X10, X8, X10
+	VADDPS X10, X5, X5
+	VBROADCASTSS (DX)(AX*4), X11
+	VMULPS X11, X8, X11
+	VADDPS X11, X6, X6
+	VBROADCASTSS (BX)(AX*4), X12
+	VMULPS X12, X8, X12
+	VADDPS X12, X7, X7
+	ADDQ $16, SI
+	INCQ AX
+	JMP fwdloop
+
+fwddone:
+	VMOVUPS X0, 0(DI)
+	VMOVUPS X1, 16(DI)
+	VMOVUPS X2, 32(DI)
+	VMOVUPS X3, 48(DI)
+	VMOVUPS X4, 64(DI)
+	VMOVUPS X5, 80(DI)
+	VMOVUPS X6, 96(DI)
+	VMOVUPS X7, 112(DI)
+	VZEROUPPER
+	RET
+
+// func linearBackward4(gw, w, x, dx *float32, in, n int, g0, g1, g2, g3 float32)
+//
+// nn.Linear backward for one output o and a block of 4 batch rows whose
+// upstream gradients g0..g3 are all nonzero, over columns [0, n), n a
+// multiple of 8. gw and w are the output's rows of Weight.G and W; x and
+// dx point at the block's first row, the other three follow at stride in.
+// Per 8 columns:
+//
+//	gw = (((gw + g0*x0) + g1*x1) + g2*x2) + g3*x3
+//	dx_r += g_r*w   for r = 0..3
+//
+// each product a VMULPS with g as operand 1 and each sum a VADDPS with the
+// accumulator as operand 1, as in the Go loop; no FMA.
+TEXT ·linearBackward4(SB), NOSPLIT, $0-64
+	MOVQ gw+0(FP), DI
+	MOVQ w+8(FP), SI
+	MOVQ x+16(FP), R8
+	MOVQ dx+24(FP), R12
+	MOVQ in+32(FP), BX
+	MOVQ n+40(FP), CX
+	VBROADCASTSS g0+48(FP), Y12
+	VBROADCASTSS g1+52(FP), Y13
+	VBROADCASTSS g2+56(FP), Y14
+	VBROADCASTSS g3+60(FP), Y15
+	SHLQ $2, CX                // columns -> bytes
+	SHLQ $2, BX                // row stride in bytes
+	LEAQ (R8)(BX*1), R9
+	LEAQ (R9)(BX*1), R10
+	LEAQ (R10)(BX*1), R11
+	LEAQ (R12)(BX*1), R13
+	LEAQ (R13)(BX*1), DX
+	ADDQ DX, BX                // BX = dx row 3
+	XORQ AX, AX
+
+bwdloop:
+	CMPQ AX, CX
+	JGE bwddone
+	VMOVUPS (DI)(AX*1), Y0
+	VMULPS (R8)(AX*1), Y12, Y1
+	VADDPS Y1, Y0, Y0
+	VMULPS (R9)(AX*1), Y13, Y1
+	VADDPS Y1, Y0, Y0
+	VMULPS (R10)(AX*1), Y14, Y1
+	VADDPS Y1, Y0, Y0
+	VMULPS (R11)(AX*1), Y15, Y1
+	VADDPS Y1, Y0, Y0
+	VMOVUPS Y0, (DI)(AX*1)
+	VMOVUPS (SI)(AX*1), Y2
+	VMOVUPS (R12)(AX*1), Y4
+	VMULPS Y2, Y12, Y3
+	VADDPS Y3, Y4, Y4
+	VMOVUPS Y4, (R12)(AX*1)
+	VMOVUPS (R13)(AX*1), Y5
+	VMULPS Y2, Y13, Y3
+	VADDPS Y3, Y5, Y5
+	VMOVUPS Y5, (R13)(AX*1)
+	VMOVUPS (DX)(AX*1), Y6
+	VMULPS Y2, Y14, Y3
+	VADDPS Y3, Y6, Y6
+	VMOVUPS Y6, (DX)(AX*1)
+	VMOVUPS (BX)(AX*1), Y7
+	VMULPS Y2, Y15, Y3
+	VADDPS Y3, Y7, Y7
+	VMOVUPS Y7, (BX)(AX*1)
+	ADDQ $32, AX
+	JMP bwdloop
+
+bwddone:
+	VZEROUPPER
+	RET

@@ -18,3 +18,11 @@ func AddScaledLiteralsAsm(tab *[256][5]float32, body []byte, dst []float32) int 
 func SetScaledLiteralsAsm(tab *[256][5]float32, body []byte, dst []float32) int {
 	panic("simd: no assembly kernels on this architecture")
 }
+
+func LinearForward8x4(acc, xt, w []float32, in int) {
+	panic("simd: no assembly kernels on this architecture")
+}
+
+func LinearBackward4(gw, w, x, dx []float32, in int, g0, g1, g2, g3 float32) int {
+	panic("simd: no assembly kernels on this architecture")
+}

@@ -5,7 +5,8 @@
 // quantize→quartic-pack encode, and the 243-entry LUT decode-add — plus
 // amd64 assembly fast paths for the byte-level pack and LUT loops, where
 // pure Go cannot reach the instruction shapes the loops need (packed
-// compares, byte shuffles, 20-byte row copies).
+// compares, byte shuffles, 20-byte row copies), and for nn.Linear's
+// forward and backward blocks, which Go compiles to scalar SSE.
 //
 // Every core is bit-identical to the scalar kernels in package kernel for
 // every input — including ±Inf, negative zero, and denormals — with one

@@ -32,11 +32,14 @@
 //     into Weight.G[oc,ic,ky,kx] and Bias.G[oc] in ascending (b, oy, ox),
 //     and sums dx[b,ic,iy,ix] from +0 in ascending (oc, oy, ox). A faster
 //     loop nest must keep each element's sequence, as the blocked Linear
-//     and Conv2D kernels do against the reference loops in their tests:
-//     the parameter server's bit-identity oracle (every distributed run
-//     against one in-process server) and perfbench's trial-to-trial
-//     weight check both assume that the same seed and batches give the
-//     same bits. Such a test must keep each accumulator to one NaN
+//     and Conv2D kernels do against the reference loops in their tests.
+//     The contract holds on every kernel tier: on the asm tier Linear
+//     runs the AVX2 cores from kernel.LinearCores, which keep the same
+//     sequence per element, and its reference tests run under every
+//     kernel.AvailableTiers entry. The parameter server's bit-identity
+//     oracle (every distributed run against one in-process server) and
+//     perfbench's trial-to-trial weight check both assume that the same
+//     seed and batches give the same bits, whatever the tier. Such a test must keep each accumulator to one NaN
 //     source: where two NaNs with different payloads meet (say an input
 //     NaN and the default NaN of Inf-Inf or 0*Inf), which payload
 //     survives depends on the operand order the compiler picks, not on

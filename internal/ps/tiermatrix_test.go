@@ -5,6 +5,7 @@ import (
 
 	"threelc/internal/compress"
 	"threelc/internal/kernel"
+	"threelc/internal/nn"
 	"threelc/internal/tensor"
 )
 
@@ -14,7 +15,8 @@ import (
 // (scalar / vec / asm), and the final global model state must be
 // bit-identical across tiers. Equivalent to running the suite under each
 // THREELC_KERNEL value; SetTier swaps the same dispatch set the env pin
-// does.
+// does. The model (tierModel) is wide enough that its Linear layers run
+// the asm tier's forward and backward cores too.
 func TestAllSchemesBitIdenticalAcrossKernelTiers(t *testing.T) {
 	schemes := []struct {
 		name string
@@ -51,24 +53,32 @@ func TestAllSchemesBitIdenticalAcrossKernelTiers(t *testing.T) {
 	}
 }
 
+// tierModel is an MLP whose layers reach both asm Linear cores at batch 5:
+// each has at least 8 inputs (the backward core's 8-column step) and 8
+// outputs (the forward core's 4-row x 8-output block), plus the Go
+// remainders (the fifth row, out%8 of the 10-class head).
+func tierModel(seed uint64) *nn.Model {
+	return nn.NewMLP(8, []int{16}, 10, seed)
+}
+
 // runSchemeSteps drives 4 full training steps on a 2-worker cluster with
 // the given design and returns the final global parameter data.
 func runSchemeSteps(t *testing.T, s compress.Scheme, o compress.Options) [][]float32 {
 	t.Helper()
 	cfg := testConfig(s, o, 2)
 	cfg.Parallelism = 2
-	global := testModel(1)
+	global := tierModel(1)
 	server := NewServer(global, cfg)
 	workers := make([]*Worker, 2)
 	for id := range workers {
-		m := testModel(1)
+		m := tierModel(1)
 		m.CopyParamsFrom(global)
 		workers[id] = NewWorker(id, m, cfg)
 	}
 	rng := tensor.NewRNG(123)
 	x := tensor.New(5, 8)
 	tensor.FillNormal(x, 1, rng)
-	labels := []int{0, 1, 2, 0, 1}
+	labels := []int{0, 3, 9, 6, 1}
 	for step := 0; step < 4; step++ {
 		server.BeginStep()
 		for _, w := range workers {
